@@ -28,7 +28,9 @@ const (
 	PrioThread
 )
 
-// job is one unit of CPU work.
+// job is one unit of CPU work. Jobs are owned by the CPU: a job returns to
+// the CPU's free list as its completion callback is called, so nothing may
+// hold a *job past that point (none escapes the CPU).
 type job struct {
 	prio      Priority
 	remaining sim.Time
@@ -47,9 +49,13 @@ type CPU struct {
 	cur      *job
 	curEvent sim.Event
 	curStart sim.Time
+	// finish completes the running job; it is bound on first use so that
+	// scheduling a completion never allocates a closure.
+	finish func()
 
-	intq []*job // pending interrupt-level jobs (FIFO)
-	thq  []*job // pending thread-level jobs (FIFO)
+	intq sim.FIFO[*job] // pending interrupt-level jobs
+	thq  sim.FIFO[*job] // pending thread-level jobs
+	jobs sim.Pool[*job] // recycled jobs, filled as jobs complete
 
 	busy     sim.Time // accumulated busy time
 	jobsDone int64
@@ -68,7 +74,7 @@ func (c *CPU) BusyTime() sim.Time { return c.busy }
 func (c *CPU) JobsDone() int64 { return c.jobsDone }
 
 // Idle reports whether the CPU has no running or queued work.
-func (c *CPU) Idle() bool { return c.cur == nil && len(c.intq) == 0 && len(c.thq) == 0 }
+func (c *CPU) Idle() bool { return c.cur == nil && c.intq.Len() == 0 && c.thq.Len() == 0 }
 
 // Submit schedules work of the given duration; done runs on completion.
 // Zero-duration work completes via the event queue (preserving ordering).
@@ -76,15 +82,19 @@ func (c *CPU) Submit(prio Priority, name string, d sim.Time, done func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("cab: negative CPU work %v", d))
 	}
-	j := &job{prio: prio, remaining: d, done: done, name: name}
+	j := c.jobs.Get()
+	if j == nil {
+		j = new(job)
+	}
+	j.prio, j.remaining, j.done, j.name = prio, d, done, name
 	if prio == PrioInterrupt {
-		c.intq = append(c.intq, j)
+		c.intq.Push(j)
 		// Preempt thread-level work.
 		if c.cur != nil && c.cur.prio == PrioThread {
 			c.preempt()
 		}
 	} else {
-		c.thq = append(c.thq, j)
+		c.thq.Push(j)
 	}
 	c.dispatch()
 }
@@ -99,7 +109,7 @@ func (c *CPU) preempt() {
 		c.cur.remaining = 0
 	}
 	c.eng.Cancel(c.curEvent)
-	c.thq = append([]*job{c.cur}, c.thq...)
+	c.thq.PushFront(c.cur)
 	c.cur = nil
 	c.curEvent = sim.Event{}
 }
@@ -111,27 +121,36 @@ func (c *CPU) dispatch() {
 	}
 	var j *job
 	switch {
-	case len(c.intq) > 0:
-		j = c.intq[0]
-		c.intq = c.intq[1:]
-	case len(c.thq) > 0:
-		j = c.thq[0]
-		c.thq = c.thq[1:]
+	case c.intq.Len() > 0:
+		j = c.intq.Pop()
+	case c.thq.Len() > 0:
+		j = c.thq.Pop()
 	default:
 		return
 	}
+	if c.finish == nil {
+		c.finish = c.complete
+	}
 	c.cur = j
 	c.curStart = c.eng.Now()
-	c.curEvent = c.eng.After(j.remaining, func() {
-		c.busy += c.eng.Now() - c.curStart
-		c.cur = nil
-		c.curEvent = sim.Event{}
-		c.jobsDone++
-		if j.done != nil {
-			j.done()
-		}
-		c.dispatch()
-	})
+	c.curEvent = c.eng.After(j.remaining, c.finish)
+}
+
+// complete retires the running job: the job goes back to the free list
+// before its callback runs, so a callback that submits more work reuses it.
+func (c *CPU) complete() {
+	j := c.cur
+	c.busy += c.eng.Now() - c.curStart
+	c.cur = nil
+	c.curEvent = sim.Event{}
+	c.jobsDone++
+	done := j.done
+	j.done, j.name = nil, ""
+	c.jobs.Put(j)
+	if done != nil {
+		done()
+	}
+	c.dispatch()
 }
 
 // RunInterrupt is a convenience for interrupt handlers: charge `d` of
@@ -141,9 +160,10 @@ func (c *CPU) RunInterrupt(name string, d sim.Time, fn func()) {
 }
 
 // Compute blocks the calling process for d of thread-level CPU time
-// (stretched by any interrupts that arrive meanwhile).
+// (stretched by any interrupts that arrive meanwhile). The completion
+// resumes the process through its bound waker, so a Compute allocates
+// nothing in steady state.
 func (c *CPU) Compute(p *sim.Proc, name string, d sim.Time) {
-	done := sim.NewSignal(p.Engine())
-	c.Submit(PrioThread, name, d, func() { done.Broadcast() })
-	done.Wait(p)
+	c.Submit(PrioThread, name, d, p.Waker())
+	p.Park()
 }

@@ -119,28 +119,42 @@ func (d *DMA) TransferSpan(ch Channel, n int, done func(), parent *trace.Span) s
 
 // TransferWait is Transfer for process context: it blocks until completion.
 func (d *DMA) TransferWait(p *sim.Proc, ch Channel, n int) {
-	sig := sim.NewSignal(p.Engine())
-	d.Transfer(ch, n, func() { sig.Broadcast() })
-	sig.Wait(p)
+	d.Transfer(ch, n, p.Waker())
+	p.Park()
 }
 
 // Timer is a cancellable hardware timer ("hardware timers allow time-outs
-// to be set by the software with low overhead", paper §5.1).
+// to be set by the software with low overhead", paper §5.1). The zero
+// value is an unarmed timer that a caller may embed and re-arm with
+// Timers.Arm.
 type Timer struct {
-	ev    sim.Event
-	eng   *sim.Engine
-	fired *bool
+	ev     sim.Event
+	timers *Timers
+	fn     func()
+	fired  bool
+	// expireFn is expire bound once (on first arming), so re-arming a
+	// timer never allocates.
+	expireFn func()
 }
 
 // Cancel stops the timer if it has not fired.
 func (t *Timer) Cancel() {
-	if t != nil {
-		t.eng.Cancel(t.ev)
+	if t != nil && t.timers != nil {
+		t.timers.eng.Cancel(t.ev)
 	}
 }
 
 // Fired reports whether the timer expired.
-func (t *Timer) Fired() bool { return *t.fired }
+func (t *Timer) Fired() bool { return t.fired }
+
+// expire runs the timer's callback.
+func (t *Timer) expire() {
+	fn := t.fn
+	t.fn = nil
+	t.fired = true
+	t.timers.fired++
+	fn()
+}
 
 // Timers is the CAB's bank of hardware timers.
 type Timers struct {
@@ -154,17 +168,25 @@ func NewTimers(eng *sim.Engine) *Timers {
 	return &Timers{eng: eng}
 }
 
-// Set arms a timer to run fn after d.
+// Set arms a new timer to run fn after d.
 func (t *Timers) Set(d sim.Time, fn func()) *Timer {
-	t.set++
-	fired := false
-	tm := &Timer{eng: t.eng, fired: &fired}
-	tm.ev = t.eng.After(d, func() {
-		fired = true
-		t.fired++
-		fn()
-	})
+	tm := &Timer{}
+	t.Arm(tm, d, fn)
 	return tm
+}
+
+// Arm arms a caller-owned timer to run fn after d. The timer must not be
+// pending: it has fired, been canceled, or never been armed.
+func (t *Timers) Arm(tm *Timer, d sim.Time, fn func()) {
+	if !tm.ev.Canceled() {
+		panic("cab: Arm of a pending timer")
+	}
+	t.set++
+	if tm.expireFn == nil {
+		tm.expireFn = tm.expire
+	}
+	tm.timers, tm.fn, tm.fired = t, fn, false
+	tm.ev = t.eng.After(d, tm.expireFn)
 }
 
 // Armed returns how many timers were set; Expired how many fired.

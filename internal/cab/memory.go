@@ -101,9 +101,15 @@ func NewMemory() *Memory {
 		data: make([]byte, DataSize),
 		free: []span{{base: DataBase, size: DataSize}},
 	}
+	// One allocation backs every domain's table. As 32 separate 16 KiB
+	// objects, the tables were zeroed page by page whenever the allocator
+	// placed them on reused address ranges, which made assembly touch a
+	// varying few hundred KiB; one large allocation stays untouched until
+	// a permission is written.
 	pages := AddrSpace / PageSize
+	all := make([]Perm, NumDomains*pages)
 	for d := 0; d < NumDomains; d++ {
-		m.perms[d] = make([]Perm, pages)
+		m.perms[d] = all[d*pages : (d+1)*pages : (d+1)*pages]
 	}
 	// The kernel can touch everything.
 	for pg := range m.perms[KernelDomain] {

@@ -131,6 +131,11 @@ type Datalink struct {
 	fl *flow.Table
 
 	stats Stats
+
+	// Recycled pipeline records, filled as packets are delivered and
+	// interrupt-level sends go out.
+	rxPool sim.Pool[*rxPacket]
+	txPool sim.Pool[*txPacket]
 }
 
 type pendingOpen struct {
@@ -334,11 +339,34 @@ func (d *Datalink) route(dst int) ([]topo.Hop, error) {
 
 // command builds a command item.
 func (d *Datalink) command(op hub.Opcode, hubID, param byte, token uint64) *fiber.Item {
-	return &fiber.Item{
+	it := d.commandItem(op, hubID, param, token)
+	return &it
+}
+
+// commandItem is command by value, for frames that allocate their items
+// together.
+func (d *Datalink) commandItem(op hub.Opcode, hubID, param byte, token uint64) fiber.Item {
+	return fiber.Item{
 		Kind:    fiber.KindCommand,
 		Cmd:     fiber.Command{Op: byte(op), Hub: hubID, Param: param},
 		ReplyTo: d.board,
 		Token:   token,
+	}
+}
+
+// sendPacketFrame transmits a packet-switched frame (§4.2.3): a test open
+// per hop, the packet, and a close all. The frame's items share one
+// allocation. Items are never recycled: each lives until the last device
+// that receives it lets go.
+func (d *Datalink) sendPacketFrame(hops []topo.Hop, payload []byte, sp *trace.Span) {
+	items := make([]fiber.Item, len(hops)+2)
+	for i, hp := range hops {
+		items[i] = d.commandItem(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0)
+	}
+	items[len(hops)] = fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp}
+	items[len(hops)+1] = d.commandItem(hub.OpCloseAll, 0xFF, 0, 0)
+	for i := range items {
+		d.board.Send(&items[i])
 	}
 }
 
@@ -373,14 +401,8 @@ func (d *Datalink) SendPacket(th *kernel.Thread, dst int, payload []byte) error 
 	if queued < 0 {
 		queued = 0
 	}
-	items := make([]*fiber.Item, 0, len(hops)+2)
-	for _, hp := range hops {
-		items = append(items, d.command(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0))
-	}
-	items = append(items, &fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp})
-	items = append(items, d.closeAll())
 	d.board.ClearNetReady()
-	d.board.Send(items...)
+	d.sendPacketFrame(hops, payload, sp)
 	d.stats.PacketsSent++
 	d.stats.BytesSent += int64(len(payload))
 	d.fr.Note(obs.FSend, d.frName, int64(dst), int64(len(payload)))
@@ -409,26 +431,45 @@ func (d *Datalink) TrySendPacketInterrupt(dst int, payload []byte, extra sim.Tim
 	if !d.board.NetReady() || !d.mu.TryP() {
 		return false
 	}
-	sp := parent.Child(trace.LayerDatalink, d.board.Name(), "dl-intr-send")
+	tx := d.txPool.Get()
+	if tx == nil {
+		tx = &txPacket{d: d}
+		tx.sendFn = tx.send
+	}
+	tx.dst, tx.hops, tx.payload = dst, hops, payload
+	tx.sp = parent.Child(trace.LayerDatalink, d.board.Name(), "dl-intr-send")
 	d.board.ClearNetReady()
-	d.board.CPU.RunInterrupt("dl-intr-send", extra+d.params.SendSetup, func() {
-		items := make([]*fiber.Item, 0, len(hops)+2)
-		for _, hp := range hops {
-			items = append(items, d.command(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0))
-		}
-		items = append(items, &fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp})
-		items = append(items, d.closeAll())
-		d.board.Send(items...)
-		d.stats.PacketsSent++
-		d.stats.BytesSent += int64(len(payload))
-		d.fr.Note(obs.FSend, d.frName, int64(dst), int64(len(payload)))
-		// Interrupt-level sends only go out when credit is already
-		// there, so their queueing time is zero by construction.
-		d.fl.Account(d.board.ID(), dst, wireProto(payload), len(payload), 0)
-		sp.End()
-		d.mu.V()
-	})
+	d.board.CPU.RunInterrupt("dl-intr-send", extra+d.params.SendSetup, tx.sendFn)
 	return true
+}
+
+// txPacket is an interrupt-level send waiting for its CPU time. Records are
+// owned by the datalink: a record returns to the free list as the send
+// starts (its fields copied out), so nothing holds one past that point.
+type txPacket struct {
+	d       *Datalink
+	dst     int
+	hops    []topo.Hop
+	payload []byte
+	sp      *trace.Span
+	// sendFn is send bound once per record.
+	sendFn func()
+}
+
+// send recycles the record and transmits its frame.
+func (tx *txPacket) send() {
+	d, dst, hops, payload, sp := tx.d, tx.dst, tx.hops, tx.payload, tx.sp
+	tx.hops, tx.payload, tx.sp = nil, nil, nil
+	d.txPool.Put(tx)
+	d.sendPacketFrame(hops, payload, sp)
+	d.stats.PacketsSent++
+	d.stats.BytesSent += int64(len(payload))
+	d.fr.Note(obs.FSend, d.frName, int64(dst), int64(len(payload)))
+	// Interrupt-level sends only go out when credit is already there, so
+	// their queueing time is zero by construction.
+	d.fl.Account(d.board.ID(), dst, wireProto(payload), len(payload), 0)
+	sp.End()
+	d.mu.V()
 }
 
 // SendCircuit transmits payload to dst using circuit switching (§4.2.1):
@@ -475,14 +516,8 @@ func (d *Datalink) SendMulticastPacket(th *kernel.Thread, dsts []int, payload []
 	if queued < 0 {
 		queued = 0
 	}
-	items := make([]*fiber.Item, 0, len(hops)+2)
-	for _, hp := range hops {
-		items = append(items, d.command(hub.OpTestOpenRetry, hp.HubID, hp.Port, 0))
-	}
-	items = append(items, &fiber.Item{Kind: fiber.KindPacket, Payload: payload, Span: sp})
-	items = append(items, d.closeAll())
 	d.board.ClearNetReady()
-	d.board.Send(items...)
+	d.sendPacketFrame(hops, payload, sp)
 	d.stats.PacketsSent++
 	d.stats.BytesSent += int64(len(payload))
 	d.stats.McastsSent++
@@ -610,35 +645,62 @@ func (d *Datalink) receiveItem(it *fiber.Item) {
 // to the datalink layer before incoming data overflows the CAB input
 // queue."
 func (d *Datalink) receivePacket(it *fiber.Item) {
-	cost := d.params.RecvInterrupt + d.params.Upcall
-	rsp := it.Span.Child(trace.LayerDatalink, d.board.Name(), "dl-recv")
-	d.board.CPU.RunInterrupt("dl-recv-intr", cost, func() {
-		// DMA out of the input queue into CAB memory. The start of
-		// packet emerges now; the upstream output register's ready bit
-		// is restored.
-		d.board.DrainedPacket()
-		// The drain completes when the slower of (a) the packet's
-		// arrival on the fiber and (b) the DMA channel finishing.
-		n := len(it.Payload)
-		eng := d.k.Engine()
-		dmaDone := d.board.DMA.TransferSpan(cab.ChanFiberIn, n, nil, it.Span)
-		done := it.End()
-		if dmaDone > done {
-			done = dmaDone
-		}
-		if now := eng.Now(); done < now {
-			done = now
-		}
-		eng.At(done, func() {
-			rsp.End()
-			d.stats.PacketsReceived++
-			d.stats.BytesReceived += int64(n)
-			d.fr.Note(obs.FRecv, d.frName, 0, int64(n))
-			if d.recv != nil {
-				d.recv(it.Payload, it.Span)
-			}
-		})
-	})
+	rx := d.rxPool.Get()
+	if rx == nil {
+		rx = &rxPacket{d: d}
+		rx.drainFn, rx.deliverFn = rx.drain, rx.deliver
+	}
+	rx.it = it
+	rx.rsp = it.Span.Child(trace.LayerDatalink, d.board.Name(), "dl-recv")
+	d.board.CPU.RunInterrupt("dl-recv-intr", d.params.RecvInterrupt+d.params.Upcall, rx.drainFn)
+}
+
+// rxPacket carries one packet through the receive pipeline, from the
+// start-of-packet interrupt to delivery. Records are owned by the
+// datalink: a record returns to the free list as delivery starts (its
+// fields copied out), so nothing holds one past that point.
+type rxPacket struct {
+	d   *Datalink
+	it  *fiber.Item
+	rsp *trace.Span
+	// drainFn and deliverFn are drain and deliver bound once per record.
+	drainFn, deliverFn func()
+}
+
+// drain runs after the start-of-packet interrupt and upcall: DMA out of
+// the input queue into CAB memory. The start of packet emerges now; the
+// upstream output register's ready bit is restored.
+func (rx *rxPacket) drain() {
+	d, it := rx.d, rx.it
+	d.board.DrainedPacket()
+	// The drain completes when the slower of (a) the packet's arrival on
+	// the fiber and (b) the DMA channel finishing.
+	eng := d.k.Engine()
+	dmaDone := d.board.DMA.TransferSpan(cab.ChanFiberIn, len(it.Payload), nil, it.Span)
+	done := it.End()
+	if dmaDone > done {
+		done = dmaDone
+	}
+	if now := eng.Now(); done < now {
+		done = now
+	}
+	eng.At(done, rx.deliverFn)
+}
+
+// deliver recycles the record and hands the drained packet to the
+// receiver.
+func (rx *rxPacket) deliver() {
+	d, it, rsp := rx.d, rx.it, rx.rsp
+	rx.it, rx.rsp = nil, nil
+	d.rxPool.Put(rx)
+	rsp.End()
+	n := len(it.Payload)
+	d.stats.PacketsReceived++
+	d.stats.BytesReceived += int64(n)
+	d.fr.Note(obs.FRecv, d.frName, 0, int64(n))
+	if d.recv != nil {
+		d.recv(it.Payload, it.Span)
+	}
 }
 
 // AcquireHubLock acquires hardware lock `lock` on the HUB this CAB attaches

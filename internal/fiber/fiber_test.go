@@ -2,6 +2,7 @@ package fiber
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -271,4 +272,73 @@ func TestLinkSpacingProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// counter counts arrivals without retaining them.
+type counter struct{ n int }
+
+func (c *counter) Receive(*Item)        { c.n++ }
+func (c *counter) EndpointName() string { return "counter" }
+
+func TestLinkSendReceiveZeroAlloc(t *testing.T) {
+	e := sim.NewEngine()
+	dst := &counter{}
+	l := NewLink(e, "l", dst)
+	it := newPacket(256)
+	// Two items in flight per round keep the arrival FIFO non-trivial.
+	round := func() {
+		l.Send(it, e.Now())
+		l.Send(it, e.Now())
+		e.Run()
+	}
+	for i := 0; i < 200; i++ {
+		round()
+	}
+	if n := testing.AllocsPerRun(1000, round); n != 0 {
+		t.Errorf("Send→Receive allocates %.0f per round, want 0", n)
+	}
+	if dst.n != 2*1201 {
+		t.Fatalf("delivered %d items", dst.n)
+	}
+}
+
+func TestLinkArrivalsInSendOrder(t *testing.T) {
+	e := sim.NewEngine()
+	dst := &sink{name: "dst", eng: e}
+	l := NewLink(e, "l", dst)
+	var sent []*Item
+	e.At(0, func() {
+		for _, n := range []int{900, 1, 40, 0, 300} {
+			it := newPacket(n)
+			sent = append(sent, it)
+			l.Send(it, 0)
+		}
+	})
+	e.Run()
+	if len(dst.items) != len(sent) {
+		t.Fatalf("got %d items, want %d", len(dst.items), len(sent))
+	}
+	for i, it := range sent {
+		if dst.items[i] != it {
+			t.Fatalf("arrival %d is not the %d-th item sent", i, i)
+		}
+		if dst.times[i] != it.Start {
+			t.Fatalf("item %d arrived at %v, stamped %v", i, dst.times[i], it.Start)
+		}
+	}
+}
+
+func TestSetPropagationInFlightPanics(t *testing.T) {
+	e := sim.NewEngine()
+	l := NewLink(e, "l", &counter{})
+	l.SetPropagation(10) // idle link: allowed
+	l.Send(newPacket(8), 0)
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.HasPrefix(msg, "fiber: ") || !strings.Contains(msg, "in flight") {
+			t.Fatalf("panic %v, want a descriptive fiber: ... in flight message", r)
+		}
+	}()
+	l.SetPropagation(0)
 }

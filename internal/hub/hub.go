@@ -92,7 +92,7 @@ type Hub struct {
 type lockState struct {
 	held    bool
 	holder  int // port id through which the lock was acquired
-	waiters []*pendingCmd
+	waiters sim.FIFO[*pendingCmd]
 }
 
 // New creates a HUB with nports ports. rec may be nil.
@@ -214,7 +214,9 @@ func (h *Hub) reply(orig *fiber.Item, ok bool, val byte) {
 	if orig.ReplyTo == nil {
 		return
 	}
-	h.rec.Record(trace.EvReply, h.name, "%v ok=%v val=%d", orig.Cmd, ok, val)
+	if h.rec != nil { // boxing the arguments allocates even when unrecorded
+		h.rec.Record(trace.EvReply, h.name, "%v ok=%v val=%d", orig.Cmd, ok, val)
+	}
 	rep := &fiber.Item{
 		Kind:     fiber.KindReply,
 		Cmd:      orig.Cmd,
@@ -270,7 +272,7 @@ func (h *Hub) execOpen(in *Port, it *fiber.Item) bool {
 	if !available {
 		h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d %v busy/not-ready", in.id, outID, op)
 		if op.retries() {
-			out.waiters = append(out.waiters, &pendingCmd{item: it, in: in})
+			out.waiters.Push(&pendingCmd{item: it, in: in})
 			return false // input stalls behind the pending open
 		}
 		h.reply(it, false, 0xFF)
@@ -284,7 +286,9 @@ func (h *Hub) execOpen(in *Port, it *fiber.Item) bool {
 	// The connection is usable once crossbar setup completes; the reply
 	// is generated at that point.
 	out.connReady = done
-	h.rec.Record(trace.EvConnOpen, h.name, "p%d->p%d at %v", in.id, outID, done)
+	if h.rec != nil {
+		h.rec.Record(trace.EvConnOpen, h.name, "p%d->p%d at %v", in.id, outID, done)
+	}
 	if op.replies() {
 		h.eng.At(done, func() { h.reply(it, true, byte(outID)) })
 	}
@@ -306,7 +310,7 @@ func (h *Hub) execLock(in *Port, it *fiber.Item) bool {
 			return true
 		}
 		if op == OpLockRetry {
-			lk.waiters = append(lk.waiters, &pendingCmd{item: it, in: in})
+			lk.waiters.Push(&pendingCmd{item: it, in: in})
 			return false
 		}
 		h.reply(it, false, byte(lk.holder))
@@ -350,33 +354,32 @@ func (h *Hub) unlock(id int) {
 	}
 	lk.held = false
 	h.rec.Record(trace.EvUnlock, h.name, "lock%d", id)
-	if len(lk.waiters) > 0 {
-		w := lk.waiters[0]
-		lk.waiters = lk.waiters[1:]
+	if lk.waiters.Len() > 0 {
+		w := lk.waiters.Pop()
 		lk.held = true
 		lk.holder = w.in.id
 		h.rec.Record(trace.EvLock, h.name, "lock%d by p%d (queued)", id, w.in.id)
 		h.reply(w.item, true, byte(id))
 		// The waiter's input port was stalled on this command; resume it
 		// one controller cycle later.
-		h.eng.After(CycleTime, w.in.advance)
+		h.eng.After(CycleTime, w.in.advancer())
 	}
 }
 
 // serveWaiters retries opens parked on output out, in FIFO order, after the
 // output frees or its ready bit sets. Each granted open resumes its input.
 func (h *Hub) serveWaiters(out *Port) {
-	for len(out.waiters) > 0 {
-		w := out.waiters[0]
+	for out.waiters.Len() > 0 {
+		w := out.waiters.Front()
 		op := Opcode(w.item.Cmd.Op)
 		if op.wantsReady() && out.failed {
 			// The link went down while this test-open was parked: fail
 			// it and free its input (see execOpen).
-			out.waiters = out.waiters[1:]
+			out.waiters.Pop()
 			if op.replies() {
 				h.reply(w.item, false, 0xFF)
 			}
-			h.eng.After(CycleTime, w.in.advance)
+			h.eng.After(CycleTime, w.in.advancer())
 			continue
 		}
 		available := out.enabled && !h.frozen && (out.owner == nil || out.owner == w.in) &&
@@ -384,20 +387,22 @@ func (h *Hub) serveWaiters(out *Port) {
 		if !available {
 			return
 		}
-		out.waiters = out.waiters[1:]
+		out.waiters.Pop()
 		done := h.controllerSlot(h.eng.Now())
 		if out.owner != w.in {
 			out.owner = w.in
 			w.in.conn = append(w.in.conn, out)
 		}
 		out.connReady = done
-		h.rec.Record(trace.EvConnOpen, h.name, "p%d->p%d at %v (retried)", w.in.id, out.id, done)
+		if h.rec != nil {
+			h.rec.Record(trace.EvConnOpen, h.name, "p%d->p%d at %v (retried)", w.in.id, out.id, done)
+		}
 		if op.replies() {
 			item := w.item
 			outID := out.id
 			h.eng.At(done, func() { h.reply(item, true, byte(outID)) })
 		}
-		h.eng.At(done, w.in.advance)
+		h.eng.At(done, w.in.advancer())
 		// A granted open with multicast semantics leaves the output
 		// owned; further waiters for this output stay parked.
 	}
@@ -413,18 +418,19 @@ func (h *Hub) serveWaiters(out *Port) {
 // not-ready forever and every later test-open wedges behind it.
 func (h *Hub) ResetOutput(i int, ready bool) {
 	out := h.ports[i]
-	waiters := out.waiters
-	out.waiters = nil
+	waiters := out.waiters // takes the queue's storage with it
+	out.waiters = sim.FIFO[*pendingCmd]{}
 	if out.owner != nil {
 		h.closeConn(out.owner, out)
 	}
 	out.ready = ready
-	for _, w := range waiters {
+	for waiters.Len() > 0 {
+		w := waiters.Pop()
 		if Opcode(w.item.Cmd.Op).replies() {
 			h.reply(w.item, false, 0xFF)
 		}
 		h.rec.Record(trace.EvConnRetry, h.name, "p%d->p%d abandoned (output reset)", w.in.id, i)
-		h.eng.After(CycleTime, w.in.advance)
+		h.eng.After(CycleTime, w.in.advancer())
 	}
 }
 
@@ -438,7 +444,7 @@ func (h *Hub) ResetPort(i int) {
 	for len(q.conn) > 0 {
 		h.closeConn(q, q.conn[0])
 	}
-	for len(q.inq) > 0 {
+	for q.inq.Len() > 0 {
 		dropped := q.pop()
 		q.drop(dropped, "port reset")
 	}
@@ -462,7 +468,10 @@ func (h *Hub) closeConn(in *Port, out *Port) {
 	}
 	h.rec.Record(trace.EvConnClose, h.name, "p%d->p%d", in.id, out.id)
 	// Serve parked opens after one cycle.
-	if len(out.waiters) > 0 {
-		h.eng.After(CycleTime, func() { h.serveWaiters(out) })
+	if out.waiters.Len() > 0 {
+		if out.serveFn == nil {
+			out.serveFn = func() { h.serveWaiters(out) }
+		}
+		h.eng.After(CycleTime, out.serveFn)
 	}
 }

@@ -27,7 +27,7 @@ type Port struct {
 	loopback bool
 
 	// Input side.
-	inq []*fiber.Item
+	inq sim.FIFO[*fiber.Item]
 	// inBytes counts queued PACKET bytes. Commands (3 bytes each) are
 	// consumed at line rate by the port hardware and never accumulate,
 	// so only packets count against the 1 KB queue.
@@ -35,6 +35,12 @@ type Port struct {
 	running bool // a processing chain is active
 	stalled bool // head command parked at the controller (retry)
 	conn    []*Port
+	// fanout is forwardHead's reusable copy of conn.
+	fanout []*Port
+	// stepFn and advanceFn are p.step and p.advance bound once (on first
+	// use), so scheduling the input chain never allocates a method value.
+	stepFn    func()
+	advanceFn func()
 	// upstreamReady notifies the upstream output register (on the device
 	// feeding this input) that the start of packet has emerged from this
 	// input queue (paper §4.2.3). Wired at topology-build time.
@@ -46,9 +52,18 @@ type Port struct {
 	connReady sim.Time
 	ready     bool
 	// readyGen numbers ready-bit clears so the credit-loss watchdog can
-	// tell whether the clear it armed for is still the current one.
-	readyGen uint64
-	waiters  []*pendingCmd
+	// tell whether the clear it armed for is still the current one. Each
+	// clear arms one watchdog, and every watchdog fires ReadyTimeout after
+	// its arming, so the k-th to fire was armed for generation k:
+	// watchedGen counts the firings, and watchdogFn (bound on first use)
+	// serves them all.
+	readyGen   uint64
+	watchedGen uint64
+	watchdogFn func()
+	// waiters are the opens parked on this output register; serveFn
+	// retries them (bound on first use).
+	waiters sim.FIFO[*pendingCmd]
+	serveFn func()
 	// stuck models a failed output register (paper §4: recovery from
 	// hardware failures): items reaching it are lost instead of leaving on
 	// the fiber. The fault is visible through the status table (the owner
@@ -151,7 +166,7 @@ func (p *Port) Failed() bool { return p.failed }
 // test-opens.
 func (p *Port) SetReady() {
 	p.ready = true
-	if len(p.waiters) > 0 {
+	if p.waiters.Len() > 0 {
 		p.hub.serveWaiters(p)
 	}
 }
@@ -173,13 +188,13 @@ func (p *Port) Receive(it *fiber.Item) {
 		// connection streams the packet without occupying the queue,
 		// which is how circuit switching carries packets larger than
 		// the 1 KB input queue (paper §4.2.3).
-		cutThrough := len(p.inq) == 0 && !p.stalled && len(p.conn) > 0
+		cutThrough := p.inq.Len() == 0 && !p.stalled && len(p.conn) > 0
 		if !cutThrough && p.inBytes+it.Bytes() > InputQueueBytes {
 			p.drop(it, "input queue overflow")
 			return
 		}
 	}
-	p.inq = append(p.inq, it)
+	p.inq.Push(it)
 	if it.Kind == fiber.KindPacket {
 		p.inBytes += it.Bytes()
 		p.occ.Set(int64(p.inBytes))
@@ -208,7 +223,7 @@ func (p *Port) drop(it *fiber.Item, why string) {
 
 // kick starts the input processing chain if it is idle.
 func (p *Port) kick() {
-	if p.running || p.stalled || len(p.inq) == 0 {
+	if p.running || p.stalled || p.inq.Len() == 0 {
 		return
 	}
 	p.running = true
@@ -221,6 +236,14 @@ func (p *Port) advance() {
 	p.kick()
 }
 
+// advancer returns p.advance, bound once.
+func (p *Port) advancer() func() {
+	if p.advanceFn == nil {
+		p.advanceFn = p.advance
+	}
+	return p.advanceFn
+}
+
 // step examines the head item and schedules its handling at the time the
 // hardware could act on it (all command bytes present; packet SOP arrived).
 func (p *Port) step() {
@@ -228,16 +251,16 @@ func (p *Port) step() {
 		p.running = false
 		return
 	}
-	if len(p.inq) == 0 {
+	if p.inq.Len() == 0 {
 		p.running = false
 		return
 	}
-	it := p.inq[0]
+	it := p.inq.Front()
 	now := p.hub.eng.Now()
 	if it.Kind == fiber.KindCommand && Opcode(it.Cmd.Op) != OpCloseAll &&
 		Opcode(it.Cmd.Op) != OpCloseAllReply && it.Cmd.Hub == p.hub.id {
 		if ready := it.End(); now < ready {
-			p.hub.eng.At(ready, p.step)
+			p.stepAt(ready)
 			return
 		}
 		p.execHead(it)
@@ -245,16 +268,23 @@ func (p *Port) step() {
 	}
 	// Forwarded item (packet, close-all, or command for another HUB).
 	if now < it.Start {
-		p.hub.eng.At(it.Start, p.step)
+		p.stepAt(it.Start)
 		return
 	}
 	p.forwardHead(it)
 }
 
+// stepAt schedules the next step of the input chain at time t.
+func (p *Port) stepAt(t sim.Time) {
+	if p.stepFn == nil {
+		p.stepFn = p.step
+	}
+	p.hub.eng.At(t, p.stepFn)
+}
+
 // pop removes the head item.
 func (p *Port) pop() *fiber.Item {
-	it := p.inq[0]
-	p.inq = p.inq[1:]
+	it := p.inq.Pop()
 	if it.Kind == fiber.KindPacket {
 		p.inBytes -= it.Bytes()
 		p.occ.Set(int64(p.inBytes))
@@ -278,13 +308,15 @@ func (p *Port) execHead(it *fiber.Item) {
 		p.step()
 		return
 	}
-	p.hub.rec.Record(trace.EvCommand, p.name, "%v", it.Cmd)
+	if p.hub.rec != nil { // boxing the argument allocates even when unrecorded
+		p.hub.rec.Record(trace.EvCommand, p.name, "%v", it.Cmd)
+	}
 	if op.IsComb() {
 		// Combining commands execute at the controller's combining engine
 		// but never park the input: the engine either merges the operand
 		// or declines, and the verdict arrives over the reverse channel.
 		p.hub.execComb(it)
-		p.hub.eng.After(CycleTime, p.step)
+		p.stepAt(p.hub.eng.Now() + CycleTime)
 		return
 	}
 	if op.serialized() {
@@ -295,11 +327,11 @@ func (p *Port) execHead(it *fiber.Item) {
 			return
 		}
 		// Completed synchronously; continue after one controller cycle.
-		p.hub.eng.After(CycleTime, p.step)
+		p.stepAt(p.hub.eng.Now() + CycleTime)
 		return
 	}
 	p.execLocalized(it, op)
-	p.hub.eng.After(LocalizedLatency, p.step)
+	p.stepAt(p.hub.eng.Now() + LocalizedLatency)
 }
 
 // execLocalized runs a localized (in-port) command.
@@ -381,7 +413,7 @@ func (p *Port) execLocalized(it *fiber.Item, op Opcode) {
 		// The mark is at the head of the queue, i.e. it has drained.
 		h.reply(it, true, it.Cmd.Param)
 	case OpFlush:
-		for len(p.inq) > 0 {
+		for p.inq.Len() > 0 {
 			dropped := p.pop()
 			p.drop(dropped, "flushed")
 		}
@@ -431,7 +463,7 @@ func (p *Port) execSupervisor(it *fiber.Item, op Opcode) {
 			for len(q.conn) > 0 {
 				h.closeConn(q, q.conn[0])
 			}
-			q.inq = nil
+			q.inq.Clear()
 			q.inBytes = 0
 			q.occ.Set(0)
 			q.stalled = false
@@ -445,7 +477,7 @@ func (p *Port) execSupervisor(it *fiber.Item, op Opcode) {
 			q.enabled = true
 			// Opens that parked while the port was disabled can now be
 			// granted.
-			if len(q.waiters) > 0 {
+			if q.waiters.Len() > 0 {
 				h.serveWaiters(q)
 			}
 		}
@@ -486,7 +518,7 @@ func (p *Port) execSupervisor(it *fiber.Item, op Opcode) {
 	case SupThaw:
 		h.frozen = false
 		for _, out := range h.ports {
-			if len(out.waiters) > 0 {
+			if out.waiters.Len() > 0 {
 				h.serveWaiters(out)
 			}
 		}
@@ -520,8 +552,9 @@ func (p *Port) forwardHead(it *fiber.Item) {
 		return
 	}
 
-	outs := make([]*Port, len(p.conn))
-	copy(outs, p.conn)
+	// Copy the connections: a close-all below edits p.conn.
+	outs := append(p.fanout[:0], p.conn...)
+	p.fanout = outs
 	// The input queue streams the item once; the crossbar fans it out to
 	// every connected output register simultaneously. A byte enters the
 	// crossbar only when the newest of the connections is set up and
@@ -538,8 +571,16 @@ func (p *Port) forwardHead(it *fiber.Item) {
 		it.Span.ChildAt(it.Start, trace.LayerHub, p.name, "xbar").
 			EndAt(start + TransferLatency)
 	}
+	// A unicast hop moves the item on: the input queue has released it
+	// and nothing else holds it. Fan-out clones one copy per branch so
+	// per-copy timing fields do not alias; so does a close-all that must
+	// still reply, since the reply reads the item's arrival hop count.
+	move := len(outs) == 1 && !(isCloseAll && op == OpCloseAllReply)
 	for _, out := range outs {
-		c := it.Clone()
+		c := it
+		if !move {
+			c = it.Clone()
+		}
 		c.Hops++
 		out.sendOut(c, start+TransferLatency)
 	}
@@ -577,20 +618,28 @@ func (p *Port) sendOut(it *fiber.Item, earliest sim.Time) {
 		// ready bit until the downstream input queue drains it.
 		p.ready = false
 		p.readyGen++
-		gen := p.readyGen
 		// Credit-loss watchdog: if the drain signal never comes back (the
 		// packet died on a dark fiber), regenerate the credit rather than
 		// withholding it forever. See ReadyTimeout.
-		p.hub.eng.After(ReadyTimeout, func() {
-			if !p.ready && p.readyGen == gen {
-				p.hub.rec.Record(trace.EvConnRetry, p.name, "ready credit regenerated (gen %d)", gen)
-				p.hub.fr.Note(obs.FCreditLoss, p.name, int64(p.id), int64(gen))
-				p.SetReady()
-			}
-		})
+		if p.watchdogFn == nil {
+			p.watchdogFn = p.creditWatchdog
+		}
+		p.hub.eng.After(ReadyTimeout, p.watchdogFn)
 		p.pktOut++
 		p.bytesOut += int64(it.Bytes())
 		p.hub.rec.Record(trace.EvPacketOut, p.name, "%v", it)
 	}
 	p.out.Send(it, earliest)
+}
+
+// creditWatchdog is the oldest pending watchdog firing: it regenerates the
+// ready credit if the clear it was armed for is still the current one.
+func (p *Port) creditWatchdog() {
+	p.watchedGen++
+	gen := p.watchedGen
+	if !p.ready && p.readyGen == gen {
+		p.hub.rec.Record(trace.EvConnRetry, p.name, "ready credit regenerated (gen %d)", gen)
+		p.hub.fr.Note(obs.FCreditLoss, p.name, int64(p.id), int64(gen))
+		p.SetReady()
+	}
 }

@@ -62,7 +62,7 @@ type Kernel struct {
 	board  *cab.Board
 	params Params
 
-	runq []*Thread
+	runq sim.FIFO[*Thread]
 	cur  *Thread
 
 	// boxes tracks every mailbox for crash recovery (Reboot purges them:
@@ -158,6 +158,18 @@ type Thread struct {
 	wakeSig *sim.Signal
 	runNow  bool
 
+	// Scheduling state reused by every block of the thread, so that a
+	// switch, a sleep or a timed wait allocates nothing in steady state:
+	// the thread's one cond waiter and one timer (a blocked thread sleeps
+	// or waits on at most one Cond), the span of its pending context
+	// switch, and callbacks bound on first use.
+	cw          condWaiter
+	timer       cab.Timer
+	switchSpan  *trace.Span
+	switchedFn  func()
+	readyFn     func()
+	condTimedFn func()
+
 	// span is the thread's current trace context: sends started while it
 	// is set become children of it. nil when tracing is off.
 	span *trace.Span
@@ -220,7 +232,7 @@ func (k *Kernel) spawn(name string, body func(t *Thread), daemon bool) *Thread {
 	} else {
 		t.proc = k.eng.Go(name, run)
 	}
-	k.runq = append(k.runq, t)
+	k.runq.Push(t)
 	k.dispatch()
 	return t
 }
@@ -238,22 +250,27 @@ func (t *Thread) parkUntilDispatched(p *sim.Proc) {
 // dispatch picks the next ready thread if the CPU's thread level is free,
 // charging the context-switch cost.
 func (k *Kernel) dispatch() {
-	if k.cur != nil || len(k.runq) == 0 {
+	if k.cur != nil || k.runq.Len() == 0 {
 		return
 	}
-	t := k.runq[0]
-	k.runq = k.runq[1:]
+	t := k.runq.Pop()
 	k.cur = t
 	k.switches++
-	var sp *trace.Span
 	if k.tr != nil {
-		sp = k.tr.Start(nil, trace.LayerKernel, k.board.Name(), "switch:"+t.name)
+		t.switchSpan = k.tr.Start(nil, trace.LayerKernel, k.board.Name(), "switch:"+t.name)
 	}
-	k.board.CPU.Submit(cab.PrioThread, "context-switch", k.params.ContextSwitch, func() {
-		sp.End()
-		t.runNow = true
-		t.wakeSig.Broadcast()
-	})
+	if t.switchedFn == nil {
+		t.switchedFn = t.switched
+	}
+	k.board.CPU.Submit(cab.PrioThread, "context-switch", k.params.ContextSwitch, t.switchedFn)
+}
+
+// switched completes the context switch to t: the thread may run.
+func (t *Thread) switched() {
+	t.switchSpan.End()
+	t.switchSpan = nil
+	t.runNow = true
+	t.wakeSig.Broadcast()
 }
 
 // ready marks a blocked thread runnable.
@@ -262,7 +279,7 @@ func (t *Thread) ready() {
 		return
 	}
 	t.state = StateReady
-	t.k.runq = append(t.k.runq, t)
+	t.k.runq.Push(t)
 	t.k.dispatch()
 }
 
@@ -296,23 +313,26 @@ func (t *Thread) Compute(name string, d sim.Time) {
 
 // Sleep blocks the thread for d using a hardware timer.
 func (t *Thread) Sleep(d sim.Time) {
-	t.k.board.Timers.Set(d, func() { t.ready() })
+	if t.readyFn == nil {
+		t.readyFn = t.ready
+	}
+	t.k.board.Timers.Arm(&t.timer, d, t.readyFn)
 	t.block()
 }
 
 // condWaiter tracks one blocked thread and whether it was signaled (as
-// opposed to timed out).
+// opposed to timed out). Each thread owns exactly one (Thread.cw).
 type condWaiter struct {
 	t        *Thread
+	cond     *Cond // the Cond it is queued on
 	signaled bool
-	timer    *cab.Timer
 }
 
 // Cond is a condition variable for kernel threads. Signal/Broadcast may be
 // called from any context, including interrupt handlers.
 type Cond struct {
 	k       *Kernel
-	waiters []*condWaiter
+	waiters sim.FIFO[*condWaiter]
 }
 
 // NewCond returns a condition variable.
@@ -320,51 +340,65 @@ func (k *Kernel) NewCond() *Cond { return &Cond{k: k} }
 
 // Wait blocks the calling thread until signaled.
 func (c *Cond) Wait(t *Thread) {
-	c.waiters = append(c.waiters, &condWaiter{t: t})
+	c.enqueue(t)
 	t.block()
+}
+
+// enqueue resets the thread's waiter and queues it on c.
+func (c *Cond) enqueue(t *Thread) *condWaiter {
+	w := &t.cw
+	w.t, w.cond, w.signaled = t, c, false
+	c.waiters.Push(w)
+	return w
 }
 
 // WaitTimeout blocks until signaled or until d elapses; reports true if
 // signaled.
 func (c *Cond) WaitTimeout(t *Thread, d sim.Time) bool {
-	w := &condWaiter{t: t}
-	w.timer = t.k.board.Timers.Set(d, func() {
-		for i, x := range c.waiters {
-			if x == w {
-				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-				t.ready()
-				return
-			}
-		}
-		// Already signaled: nothing to do.
-	})
-	c.waiters = append(c.waiters, w)
+	if t.condTimedFn == nil {
+		t.condTimedFn = t.condTimedOut
+	}
+	t.k.board.Timers.Arm(&t.timer, d, t.condTimedFn)
+	w := c.enqueue(t)
 	t.block()
-	w.timer.Cancel()
+	t.timer.Cancel()
 	return w.signaled
+}
+
+// condTimedOut is the timer of a WaitTimeout: unless the thread was already
+// signaled, it leaves the Cond's queue and becomes ready.
+func (t *Thread) condTimedOut() {
+	q := &t.cw.cond.waiters
+	for i := 0; i < q.Len(); i++ {
+		if q.At(i) == &t.cw {
+			q.RemoveAt(i)
+			t.ready()
+			return
+		}
+	}
+	// Already signaled: nothing to do.
 }
 
 // Signal wakes one waiting thread (FIFO).
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
+	if c.waiters.Len() == 0 {
 		return
 	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	w := c.waiters.Pop()
 	w.signaled = true
-	w.timer.Cancel()
+	w.t.timer.Cancel() // a no-op unless the wait is timed
 	w.t.ready()
 }
 
 // Broadcast wakes all waiting threads.
 func (c *Cond) Broadcast() {
-	for len(c.waiters) > 0 {
+	for c.waiters.Len() > 0 {
 		c.Signal()
 	}
 }
 
 // Waiters returns the number of blocked threads.
-func (c *Cond) Waiters() int { return len(c.waiters) }
+func (c *Cond) Waiters() int { return c.waiters.Len() }
 
 // Sem is a counting semaphore for kernel threads. Unlike Cond, posts are
 // never lost: V from any context (including interrupts) increments the

@@ -260,6 +260,20 @@ type run struct {
 	classed bool     // Config.Classes non-zero: draw classes and deadlines
 	res     *Result
 	digest  uint64
+	// zeros backs the payload of every operation (see payload).
+	zeros []byte
+}
+
+// payload returns n zero bytes from one buffer shared read-only by every
+// operation of the run: the transport copies payloads into wire packets
+// and never writes them, and the capped capacity sends any append to a
+// fresh array. The buffer is allocated on the first operation, so
+// assembling the run costs nothing extra.
+func (r *run) payload(n int) []byte {
+	if r.zeros == nil {
+		r.zeros = make([]byte, max(r.cfg.ReqBytes, r.cfg.StreamBytes))
+	}
+	return r.zeros[:n:n]
 }
 
 // opOpts draws the send options for one operation: its priority class from
@@ -446,13 +460,13 @@ func (r *run) doOp(th *kernel.Thread, kind, self, dst, worker int, opts transpor
 	srcBox := uint16(boxClientBase + worker)
 	switch kind {
 	case OpReqResp:
-		resp, err := tp.RequestOpts(th, dst, boxReqResp, srcBox, make([]byte, cfg.ReqBytes), opts)
+		resp, err := tp.RequestOpts(th, dst, boxReqResp, srcBox, r.payload(cfg.ReqBytes), opts)
 		return cfg.ReqBytes + len(resp), err
 	case OpStream:
-		err := tp.StreamSendOpts(th, dst, boxStream, srcBox, make([]byte, cfg.StreamBytes), opts)
+		err := tp.StreamSendOpts(th, dst, boxStream, srcBox, r.payload(cfg.StreamBytes), opts)
 		return cfg.StreamBytes, err
 	default:
-		resp, err := tp.VTransactOpts(th, dst, boxVMTP, srcBox, make([]byte, cfg.ReqBytes), opts)
+		resp, err := tp.VTransactOpts(th, dst, boxVMTP, srcBox, r.payload(cfg.ReqBytes), opts)
 		return cfg.ReqBytes + len(resp), err
 	}
 }

@@ -18,6 +18,18 @@ type Proc struct {
 	wake chan struct{} // engine -> proc: run a slice
 	park chan struct{} // proc -> engine: slice done (blocked or finished)
 
+	// Callbacks bound once per process, so that resuming it never
+	// allocates: resume runs its next slice (bound at creation); wakeNow
+	// schedules that at the current time and onTimeout ends a
+	// WaitTimeout (both bound on first use).
+	resume    func()
+	wakeNow   func()
+	onTimeout func()
+
+	// w is the process's only waiter: a blocked process waits on at most
+	// one Signal at a time, so every Wait reuses it.
+	w waiter
+
 	done bool
 
 	// daemon processes are expected to block forever (service loops);
@@ -57,6 +69,8 @@ func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) *Proc {
 		wake: make(chan struct{}),
 		park: make(chan struct{}),
 	}
+	p.resume = func() { e.runSlice(p) }
+	p.w.p = p
 	e.procs++
 	if e.live == nil {
 		e.live = make(map[*Proc]bool)
@@ -72,7 +86,7 @@ func (e *Engine) GoAt(t Time, name string, body func(p *Proc)) *Proc {
 		}
 		p.park <- struct{}{}
 	}()
-	e.At(t, func() { e.runSlice(p) })
+	e.At(t, p.resume)
 	return p
 }
 
@@ -96,17 +110,31 @@ func (p *Proc) block() {
 // resumeAt schedules the process to resume at absolute time t and returns
 // the resume event (so it can be canceled, e.g. for timeouts).
 func (p *Proc) resumeAt(t Time) Event {
-	return p.eng.At(t, func() { p.eng.runSlice(p) })
+	return p.eng.At(t, p.resume)
 }
 
-// Sleep blocks the process for d nanoseconds of simulated time.
+// Waker returns a callback that schedules the process to resume at the
+// current time: the one event a Signal.Broadcast would schedule with this
+// process as its only waiter. It is bound once per process, so waking
+// through it never allocates. Pair it with Park; it may be called from
+// event context.
+func (p *Proc) Waker() func() {
+	if p.wakeNow == nil {
+		p.wakeNow = func() { p.resumeAt(p.eng.now) }
+	}
+	return p.wakeNow
+}
+
+// Park blocks the process until the callback returned by Waker runs. A
+// process that parks with no wake-up pending stays blocked for good.
+func (p *Proc) Park() { p.block() }
+
+// Sleep blocks the process for d nanoseconds of simulated time. Sleep(0)
+// still yields through the event queue, so same-time events scheduled
+// earlier run first.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v", d))
-	}
-	if d == 0 {
-		// Still yield through the event queue so same-time events
-		// scheduled earlier run first.
 	}
 	p.resumeAt(p.eng.now + d)
 	p.block()
@@ -116,9 +144,11 @@ func (p *Proc) Sleep(d Time) {
 // same-time events run first.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// waiter is a parked process plus an optional timeout event.
+// waiter is a parked process plus an optional timeout event. Each process
+// owns exactly one (Proc.w); it sits in at most one Signal's queue.
 type waiter struct {
 	p       *Proc
+	sig     *Signal // the signal it is queued on
 	timeout Event
 	fired   bool // set when the signal (not the timeout) woke the waiter
 }
@@ -127,7 +157,7 @@ type waiter struct {
 // variable in virtual time). The zero value is invalid; use NewSignal.
 type Signal struct {
 	eng     *Engine
-	waiters []*waiter
+	waiters FIFO[*waiter]
 }
 
 // NewSignal returns a Signal bound to the engine.
@@ -136,38 +166,51 @@ func NewSignal(e *Engine) *Signal {
 }
 
 // Waiters returns the number of processes currently blocked on the signal.
-func (s *Signal) Waiters() int { return len(s.waiters) }
+func (s *Signal) Waiters() int { return s.waiters.Len() }
+
+// enqueue resets the process's waiter and queues it on s.
+func (s *Signal) enqueue(p *Proc) *waiter {
+	w := &p.w
+	w.sig, w.timeout, w.fired = s, Event{}, false
+	s.waiters.Push(w)
+	return w
+}
 
 // Wait blocks the process until Signal or Broadcast wakes it.
 func (s *Signal) Wait(p *Proc) {
-	w := &waiter{p: p}
-	s.waiters = append(s.waiters, w)
+	s.enqueue(p)
 	p.block()
 }
 
 // WaitTimeout blocks until woken or until d elapses. It reports true if the
 // process was woken by the signal and false on timeout.
 func (s *Signal) WaitTimeout(p *Proc, d Time) bool {
-	w := &waiter{p: p}
-	w.timeout = p.eng.At(p.eng.now+d, func() {
-		// Timeout fired before the signal: remove from waiters, resume.
-		for i, x := range s.waiters {
-			if x == w {
-				s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-				break
-			}
-		}
-		p.eng.runSlice(p)
-	})
-	s.waiters = append(s.waiters, w)
+	if p.onTimeout == nil {
+		p.onTimeout = p.timedOut
+	}
+	timeout := p.eng.At(p.eng.now+d, p.onTimeout)
+	w := s.enqueue(p)
+	w.timeout = timeout
 	p.block()
 	return w.fired
 }
 
+// timedOut ends a WaitTimeout whose timeout fired before the signal: it
+// removes the waiter from its signal's queue and resumes the process.
+func (p *Proc) timedOut() {
+	q := &p.w.sig.waiters
+	for i := 0; i < q.Len(); i++ {
+		if q.At(i) == &p.w {
+			q.RemoveAt(i)
+			break
+		}
+	}
+	p.eng.runSlice(p)
+}
+
 // wakeOne removes and schedules the resume of a single waiter.
 func (s *Signal) wakeOne() {
-	w := s.waiters[0]
-	s.waiters = s.waiters[1:]
+	w := s.waiters.Pop()
 	w.fired = true
 	s.eng.Cancel(w.timeout) // no-op for the zero Event (no timeout armed)
 	w.p.resumeAt(s.eng.now)
@@ -176,14 +219,14 @@ func (s *Signal) wakeOne() {
 // Signal wakes one waiting process (FIFO), if any. The wakeup is delivered
 // through the event queue, so the caller continues first.
 func (s *Signal) Signal() {
-	if len(s.waiters) > 0 {
+	if s.waiters.Len() > 0 {
 		s.wakeOne()
 	}
 }
 
 // Broadcast wakes all waiting processes in FIFO order.
 func (s *Signal) Broadcast() {
-	for len(s.waiters) > 0 {
+	for s.waiters.Len() > 0 {
 		s.wakeOne()
 	}
 }

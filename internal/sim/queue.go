@@ -5,7 +5,7 @@ package sim
 // A capacity of 0 means unbounded.
 type Queue[T any] struct {
 	eng      *Engine
-	items    []T
+	items    FIFO[T]
 	capacity int
 	notEmpty *Signal
 	notFull  *Signal
@@ -22,14 +22,14 @@ func NewQueue[T any](e *Engine, capacity int) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Cap returns the capacity (0 = unbounded).
 func (q *Queue[T]) Cap() int { return q.capacity }
 
 // Full reports whether the queue is at capacity.
 func (q *Queue[T]) Full() bool {
-	return q.capacity > 0 && len(q.items) >= q.capacity
+	return q.capacity > 0 && q.items.Len() >= q.capacity
 }
 
 // Put appends v, blocking while the queue is full.
@@ -37,7 +37,7 @@ func (q *Queue[T]) Put(p *Proc, v T) {
 	for q.Full() {
 		q.notFull.Wait(p)
 	}
-	q.items = append(q.items, v)
+	q.items.Push(v)
 	q.notEmpty.Signal()
 }
 
@@ -47,14 +47,14 @@ func (q *Queue[T]) TryPut(v T) bool {
 	if q.Full() {
 		return false
 	}
-	q.items = append(q.items, v)
+	q.items.Push(v)
 	q.notEmpty.Signal()
 	return true
 }
 
 // Get removes and returns the head item, blocking while the queue is empty.
 func (q *Queue[T]) Get(p *Proc) T {
-	for len(q.items) == 0 {
+	for q.items.Len() == 0 {
 		q.notEmpty.Wait(p)
 	}
 	return q.pop()
@@ -63,7 +63,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 // GetTimeout is like Get but gives up after d; ok is false on timeout.
 func (q *Queue[T]) GetTimeout(p *Proc, d Time) (v T, ok bool) {
 	deadline := q.eng.now + d
-	for len(q.items) == 0 {
+	for q.items.Len() == 0 {
 		remain := deadline - q.eng.now
 		if remain <= 0 || !q.notEmpty.WaitTimeout(p, remain) {
 			return v, false
@@ -75,7 +75,7 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Time) (v T, ok bool) {
 // TryGet removes and returns the head item without blocking; ok reports
 // whether an item was available. It may be called from event context.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
 		return v, false
 	}
 	return q.pop(), true
@@ -83,17 +83,14 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 
 // Peek returns the head item without removing it.
 func (q *Queue[T]) Peek() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
 		return v, false
 	}
-	return q.items[0], true
+	return q.items.Front(), true
 }
 
 func (q *Queue[T]) pop() T {
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
+	v := q.items.Pop()
 	q.notFull.Signal()
 	return v
 }

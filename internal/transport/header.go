@@ -185,16 +185,27 @@ func Encode(h *Header, payload []byte) []byte {
 // including a deadline flag on a packet too short to carry the extension —
 // are rejected the same way, never with a panic.
 func Decode(buf []byte) (*Header, []byte, error) {
+	h := new(Header)
+	payload, err := decodeInto(h, buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	return h, payload, nil
+}
+
+// decodeInto is Decode into a caller-owned header, so the receive path
+// needs no allocation per packet.
+func decodeInto(h *Header, buf []byte) ([]byte, error) {
 	if len(buf) < HeaderSize {
-		return nil, nil, fmt.Errorf("transport: short packet (%d bytes)", len(buf))
+		return nil, fmt.Errorf("transport: short packet (%d bytes)", len(buf))
 	}
 	sum := binary.BigEndian.Uint16(buf[30:])
 	// Verify with the checksum field excluded from the sum, the way the
 	// hardware does on the fly during DMA — no scratch copy per packet.
 	if cab.ChecksumExcluding(buf, 30) != sum {
-		return nil, nil, fmt.Errorf("transport: checksum mismatch")
+		return nil, fmt.Errorf("transport: checksum mismatch")
 	}
-	h := &Header{
+	*h = Header{
 		Proto:  Proto(buf[0]),
 		Class:  Class(buf[1] & classMask),
 		Src:    binary.BigEndian.Uint16(buf[2:]),
@@ -207,26 +218,26 @@ func Decode(buf []byte) (*Header, []byte, error) {
 		Offset: binary.BigEndian.Uint32(buf[22:]),
 	}
 	if h.Class >= NumClasses {
-		return nil, nil, fmt.Errorf("transport: bad priority class %d", h.Class)
+		return nil, fmt.Errorf("transport: bad priority class %d", h.Class)
 	}
 	off := HeaderSize
 	if buf[1]&flagDeadline != 0 {
 		if len(buf) < HeaderSize+DeadlineExtSize {
-			return nil, nil, fmt.Errorf("transport: truncated deadline extension (%d bytes)", len(buf))
+			return nil, fmt.Errorf("transport: truncated deadline extension (%d bytes)", len(buf))
 		}
 		h.Deadline = sim.Time(binary.BigEndian.Uint64(buf[HeaderSize:]))
 		if h.Deadline <= 0 {
-			return nil, nil, fmt.Errorf("transport: bad deadline %d", h.Deadline)
+			return nil, fmt.Errorf("transport: bad deadline %d", h.Deadline)
 		}
 		off += DeadlineExtSize
 	}
 	paylen := int(binary.BigEndian.Uint32(buf[26:]))
 	payload := buf[off:]
 	if paylen != len(payload) {
-		return nil, nil, fmt.Errorf("transport: length mismatch: header %d, got %d",
+		return nil, fmt.Errorf("transport: length mismatch: header %d, got %d",
 			paylen, len(payload))
 	}
-	return h, payload, nil
+	return payload, nil
 }
 
 // wireClass reads the priority class straight off an encoded packet.

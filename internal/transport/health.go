@@ -255,7 +255,7 @@ func (t *Transport) Crash() {
 	t.inflight = make(map[reqKey]bool)
 	t.respCache = make(map[reqKey][]byte)
 	t.respOrder = nil
-	t.outq = nil
+	t.outq.Clear()
 	t.watch = make(map[int]*peerState)
 	if t.ovl != nil {
 		// The classed send queue, breakers, and token buckets live in

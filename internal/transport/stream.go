@@ -55,7 +55,9 @@ func (e *ErrStreamTimeout) Error() string {
 		e.MsgID, e.Dst, e.Expiries)
 }
 
-// streamRecv is the receive side of one connection.
+// streamRecv is the receive side of one connection. buf is reused from
+// message to message: delivery copies the message into mailbox memory, so
+// no one holds buf once deliver returns.
 type streamRecv struct {
 	cur    uint32 // message currently being assembled
 	expect uint32 // next packet index expected
@@ -234,7 +236,7 @@ func (t *Transport) recvStream(h *Header, payload []byte, sp *trace.Span) {
 		}
 		rs.cur = h.MsgID
 		rs.expect = 0
-		rs.buf = nil
+		rs.buf = rs.buf[:0]
 	}
 	if h.Seq != rs.expect {
 		// Gap (loss) or duplicate: re-ack the cumulative position.
@@ -245,6 +247,11 @@ func (t *Transport) recvStream(h *Header, payload []byte, sp *trace.Span) {
 		// Corrupt sequencing; drop and re-ack.
 		ack(rs.expect)
 		return
+	}
+	if len(rs.buf) == 0 {
+		if n := t.reassemblyCap(h); cap(rs.buf) < n {
+			rs.buf = make([]byte, 0, n)
+		}
 	}
 	rs.buf = append(rs.buf, payload...)
 	rs.expect++
@@ -259,13 +266,27 @@ func (t *Transport) recvStream(h *Header, payload []byte, sp *trace.Span) {
 		t.stats.StreamMsgsRecv++
 		rs.cur = h.MsgID + 1
 		rs.expect = 0
-		rs.buf = nil
+		rs.buf = rs.buf[:0]
 		ack(AckDone)
 	} else {
 		rs.buf = rs.buf[:len(rs.buf)-len(payload)]
 		rs.expect--
 		ack(rs.expect)
 	}
+}
+
+// reassemblyCap sizes a reassembly buffer for the message h heads: its
+// length, capped at the capacity of the destination mailbox, because Total
+// is unchecked wire data and a message larger than the mailbox can never be
+// delivered anyway.
+func (t *Transport) reassemblyCap(h *Header) int {
+	n := int(h.Total)
+	if mb := t.boxes[h.DstBox]; mb == nil {
+		n = 0
+	} else if c := mb.Capacity(); n > c {
+		n = c
+	}
+	return n
 }
 
 // recvStreamAck handles an acknowledgment at the sender (interrupt level).

@@ -125,7 +125,9 @@ type Transport struct {
 
 	// Service thread: sends control packets (acks, cached responses)
 	// that originate at interrupt level.
-	outq    []outItem
+	outq    sim.FIFO[*outItem]
+	outPool sim.Pool[*outItem] // recycled as the service thread takes them
+	rxPool  sim.Pool[*rxWire]  // recycled receive records, filled as packets are processed
 	outSem  *kernel.Sem
 	nextMsg uint32
 
@@ -242,13 +244,15 @@ func (t *Transport) serviceLoop(th *kernel.Thread) {
 			t.serviceClassed(th)
 			continue
 		}
-		if len(t.outq) == 0 {
+		if t.outq.Len() == 0 {
 			continue
 		}
-		it := t.outq[0]
-		t.outq = t.outq[1:]
-		prev := th.SetSpan(it.sp)
-		t.sendWire(th, it.dst, it.wire)
+		it := t.outq.Pop()
+		dst, wire, sp := it.dst, it.wire, it.sp
+		*it = outItem{}
+		t.outPool.Put(it)
+		prev := th.SetSpan(sp)
+		t.sendWire(th, dst, wire)
 		th.SetSpan(prev)
 	}
 }
@@ -271,7 +275,12 @@ func (t *Transport) enqueueControl(dst int, wire []byte, sp *trace.Span) {
 		t.outSem.V()
 		return
 	}
-	t.outq = append(t.outq, outItem{dst: dst, wire: wire, sp: sp})
+	it := t.outPool.Get()
+	if it == nil {
+		it = new(outItem)
+	}
+	*it = outItem{dst: dst, wire: wire, sp: sp}
+	t.outq.Push(it)
 	t.outSem.V()
 }
 
@@ -332,42 +341,73 @@ func (t *Transport) SendDatagram(th *kernel.Thread, dst int, dstBox, srcBox uint
 // the packet has been DMAed out of the input queue. sp is the sender's
 // trace span carried across the wire (nil when untraced).
 func (t *Transport) handlePacket(wire []byte, sp *trace.Span) {
-	rsp := sp.Child(trace.LayerTransport, t.k.Board().Name(), "tp-recv")
-	t.k.Board().CPU.RunInterrupt("tp-recv", t.params.ProcRecv, func() {
-		defer rsp.End()
-		h, payload, err := Decode(wire)
-		if err != nil {
-			// Damaged or malformed: drop; peers recover by
-			// retransmission where the protocol provides it.
-			t.stats.ChecksumDrops++
-			rsp.MarkError()
-			return
-		}
-		switch h.Proto {
-		case ProtoDatagram:
-			t.recvDatagram(h, payload, sp)
-		case ProtoStream:
-			t.recvStream(h, payload, sp)
-		case ProtoStreamAck:
-			t.recvStreamAck(h)
-		case ProtoRequest:
-			t.recvRequest(h, payload, sp)
-		case ProtoResponse:
-			t.recvResponse(h, payload, sp)
-		case ProtoVSend:
-			t.recvVSend(h, payload, sp)
-		case ProtoVResp:
-			t.recvVResp(h, payload, sp)
-		case ProtoVNack:
-			t.recvVNack(h, payload, sp)
-		case ProtoPing:
-			t.recvPing(h, sp)
-		case ProtoPong:
-			t.recvPong(h)
-		case ProtoReject:
-			t.recvReject(h)
-		}
-	})
+	rx := t.rxPool.Get()
+	if rx == nil {
+		rx = &rxWire{t: t}
+		rx.processFn = rx.process
+	}
+	rx.wire, rx.sp = wire, sp
+	rx.rsp = sp.Child(trace.LayerTransport, t.k.Board().Name(), "tp-recv")
+	t.k.Board().CPU.RunInterrupt("tp-recv", t.params.ProcRecv, rx.processFn)
+}
+
+// rxWire carries one received packet from handlePacket to its
+// interrupt-level processing. Records are owned by the transport: a record
+// returns to the free list as its processing starts (its fields copied
+// out), so nothing holds one past that point.
+type rxWire struct {
+	t       *Transport
+	wire    []byte
+	sp, rsp *trace.Span
+	// processFn is process bound once per record.
+	processFn func()
+}
+
+// process recycles the record and processes its packet.
+func (rx *rxWire) process() {
+	t, wire, sp, rsp := rx.t, rx.wire, rx.sp, rx.rsp
+	rx.wire, rx.sp, rx.rsp = nil, nil, nil
+	t.rxPool.Put(rx)
+	t.processPacket(wire, sp, rsp)
+}
+
+// processPacket decodes a received packet and dispatches it by protocol.
+// rsp is the receive span, ended here.
+func (t *Transport) processPacket(wire []byte, sp, rsp *trace.Span) {
+	defer rsp.End()
+	var h Header
+	payload, err := decodeInto(&h, wire)
+	if err != nil {
+		// Damaged or malformed: drop; peers recover by
+		// retransmission where the protocol provides it.
+		t.stats.ChecksumDrops++
+		rsp.MarkError()
+		return
+	}
+	switch h.Proto {
+	case ProtoDatagram:
+		t.recvDatagram(&h, payload, sp)
+	case ProtoStream:
+		t.recvStream(&h, payload, sp)
+	case ProtoStreamAck:
+		t.recvStreamAck(&h)
+	case ProtoRequest:
+		t.recvRequest(&h, payload, sp)
+	case ProtoResponse:
+		t.recvResponse(&h, payload, sp)
+	case ProtoVSend:
+		t.recvVSend(&h, payload, sp)
+	case ProtoVResp:
+		t.recvVResp(&h, payload, sp)
+	case ProtoVNack:
+		t.recvVNack(&h, payload, sp)
+	case ProtoPing:
+		t.recvPing(&h, sp)
+	case ProtoPong:
+		t.recvPong(&h)
+	case ProtoReject:
+		t.recvReject(&h)
+	}
 }
 
 // deliver places a complete message into a registered mailbox. It reports

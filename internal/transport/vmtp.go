@@ -300,7 +300,8 @@ func (t *Transport) recvVSend(h *Header, payload []byte, sp *trace.Span) {
 		}
 		g = &vmtpGroup{segs: make(map[uint32][]byte), nPkts: h.Offset, total: h.Total, deadline: h.Deadline}
 		vm.reqs[key] = g
-		t.armGroupTimer(g, func() { t.nackRequest(h, g) })
+		hc := *h // h is the receive path's; the timer keeps a copy
+		t.armGroupTimer(g, func() { t.nackRequest(&hc, g) })
 	}
 	if _, dup := g.segs[h.Seq]; dup {
 		return
@@ -352,7 +353,8 @@ func (t *Transport) recvVResp(h *Header, payload []byte, sp *trace.Span) {
 	pend.ackMask = (1 << pend.reqPkts) - 1
 	if pend.resp == nil {
 		pend.resp = &vmtpGroup{segs: make(map[uint32][]byte), nPkts: h.Offset, total: h.Total}
-		t.armGroupTimer(pend.resp, func() { t.nackResponse(h, pend) })
+		hc := *h // h is the receive path's; the timer keeps a copy
+		t.armGroupTimer(pend.resp, func() { t.nackResponse(&hc, pend) })
 	}
 	if _, dup := pend.resp.segs[h.Seq]; dup {
 		return
