@@ -70,30 +70,87 @@ func BenchmarkProcSleepWake(b *testing.B) {
 	e.RunUntil(e.Now() + 2)
 }
 
+// BenchmarkSignalHandoff times one Signal round trip between two processes
+// per RunUntil: a wakes b through ping, b answers through pong, and a
+// sleeps to the next nanosecond.
 func BenchmarkSignalHandoff(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
 	ping := NewSignal(e)
 	pong := NewSignal(e)
+	rounds := 0
 	stop := false
+	e.GoDaemon("b", func(p *Proc) {
+		for {
+			ping.Wait(p)
+			if stop {
+				return
+			}
+			rounds++
+			pong.Signal()
+		}
+	})
 	e.GoDaemon("a", func(p *Proc) {
 		for !stop {
-			pong.Signal()
-			ping.Wait(p)
-		}
-	})
-	e.GoDaemon("b", func(p *Proc) {
-		for !stop {
-			pong.Wait(p)
+			p.Sleep(1)
 			ping.Signal()
+			pong.Wait(p)
 		}
 	})
+	e.RunUntil(0) // b waits on ping, a sleeps
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.RunUntil(e.Now() + 1)
 	}
+	b.StopTimer()
+	if rounds != b.N {
+		b.Fatalf("%d rounds in %d iterations", rounds, b.N)
+	}
 	stop = true
-	ping.Broadcast()
-	pong.Broadcast()
-	e.RunUntil(e.Now() + 2)
+	e.RunUntil(e.Now() + 1) // a wakes b, which returns; a waits on pong
+	pong.Signal()
+	e.RunUntil(e.Now())
+}
+
+// BenchmarkProcSleepInRun times Proc.Sleep inside one Run, where no other
+// process or caller competes for control.
+func BenchmarkProcSleepInRun(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	e.Go("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkPingPongInRun times one Signal round trip between two processes
+// inside one Run: every wait is ended by the other process.
+func BenchmarkPingPongInRun(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	ping := NewSignal(e)
+	pong := NewSignal(e)
+	rounds := 0
+	e.Go("b", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Wait(p)
+			rounds++
+			pong.Signal()
+		}
+	})
+	e.Go("a", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Signal()
+			pong.Wait(p)
+		}
+	})
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	if rounds != b.N {
+		b.Fatalf("%d rounds in %d iterations", rounds, b.N)
+	}
 }

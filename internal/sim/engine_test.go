@@ -496,3 +496,19 @@ func TestHeapOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestEventResumingTwoProcessesPanics(t *testing.T) {
+	e := NewEngine()
+	a := e.Go("a", func(p *Proc) { p.Park() })
+	b := e.Go("b", func(p *Proc) { p.Park() })
+	e.At(1, func() {
+		a.resume()
+		b.resume()
+	})
+	defer func() {
+		if got, want := recover(), "sim: one event resumed both a and b"; got != want {
+			t.Errorf("Run panicked with %v, want %q", got, want)
+		}
+	}()
+	e.Run()
+}
